@@ -1,10 +1,10 @@
 """The calculus-backend protocol: pluggable broadcast semantics.
 
 The paper fixes one semantics — the Table 3 transition rules, the Table 2
-discard relation, and output barbs.  ROADMAP item 3 asks for the direct
-extensions named in PAPERS.md (Cao's noisy channels, graph-based wireless
-broadcast), which share the syntax and the shape of the judgements but not
-the judgements themselves.  :class:`CalculusBackend` names that shape:
+discard relation, and output barbs.  The direct extensions named in
+PAPERS.md (Cao's noisy channels, graph-based wireless broadcast) keep the
+syntax and every rule but one: they change only who receives a broadcast.
+:class:`CalculusBackend` names the shape of the judgements:
 
 * :meth:`step_transitions` — autonomous moves ``p -phi-> p'`` (outputs and
   ``tau``), finitely branching;
@@ -25,38 +25,39 @@ methods; they never import ``core.semantics`` / ``core.discard`` directly
 (contract Rule E).  The default :class:`BpiBackend` delegates to exactly
 those memoized core functions, so the default path is bit-identical to
 calling them directly.
+
+There is one Table 3: the step rules and the delivery recursion have a
+single body each in ``core.semantics``, which takes the judgements it
+recurses into as hooks.  :class:`StructuralBackend` runs those bodies
+over per-instance memo tables and the backend's own discard relation,
+reach test and parallel delivery rule; the lossy and wireless backends
+override only those hooks.
 """
 
 from __future__ import annotations
 
 import abc
+from operator import eq
 from typing import Iterable
 
-from ..core.actions import TAU, InputAction, OutputAction, TauAction
-from ..core.binders import freshen_action_binders
+from ..core.actions import OutputAction
 from ..core.discard import discards as _bpi_discards
 from ..core.discard import listening_channels as _bpi_listening
 from ..core.freenames import free_names
 from ..core.names import Name
 from ..core.reduction import barbs as _bpi_barbs
-from ..core.semantics import Transition, check_sorts as _bpi_check_sorts
+from ..core.semantics import (
+    Transition,
+    reliable_par_inputs,
+    table3_inputs,
+    table3_steps,
+    table3_transitions,
+)
+from ..core.semantics import check_sorts as _bpi_check_sorts
 from ..core.semantics import input_capabilities as _bpi_caps
 from ..core.semantics import input_continuations as _bpi_inputs
 from ..core.semantics import step_transitions as _bpi_steps
-from ..core.substitution import unfold_rec
-from ..core.syntax import (
-    Ident,
-    Input,
-    Match,
-    Nil,
-    Output,
-    Par,
-    Process,
-    Rec,
-    Restrict,
-    Sum,
-    Tau,
-)
+from ..core.syntax import Par, Process
 
 
 class CalculusBackend(abc.ABC):
@@ -137,12 +138,9 @@ class CalculusBackend(abc.ABC):
 
     def transitions(self, p: Process, universe) -> list[Transition]:
         """Steps plus inputs instantiated over a finite name universe."""
-        result: list[Transition] = list(self.step_transitions(p))
-        for chan, arity in sorted(self.input_capabilities(p)):
-            for values in universe.vectors(arity):
-                for target in self.input_continuations(p, chan, values):
-                    result.append((InputAction(chan, values), target))
-        return result
+        return table3_transitions(p, universe, self.step_transitions,
+                                  self.input_capabilities,
+                                  self.input_continuations)
 
     def clear_caches(self) -> None:
         """Drop per-instance memo tables (hook for ``core.cache``)."""
@@ -184,23 +182,23 @@ class BpiBackend(CalculusBackend):
 
 
 class StructuralBackend(CalculusBackend):
-    """Table-3-shaped semantics parameterised on delivery and discard.
+    """The paper's Table 3 over this backend's own judgements.
 
-    Subclasses supply :meth:`discards` and the delivery judgement
-    ``input_continuations``; the step relation keeps the paper's rule
-    structure (tau/output prefixes, sums, matches, recursion, the
-    restriction rules (5)-(7) and the parallel rules (13)/(14)) but
-    routes the passive side of a broadcast through the subclass's
-    delivery and discard — which is exactly where lossy and wireless
-    semantics deviate from the paper.
-
-    Steps and deliveries are memoized per backend instance, keyed on the
-    interned nodes, mirroring the slot caches of the default semantics.
+    The step rules and the delivery recursion are the single bodies in
+    :mod:`repro.core.semantics` (``table3_steps``, ``table3_inputs``);
+    this class runs them over per-instance memo tables (keyed on the
+    interned nodes, like the slot caches of the default semantics), its
+    :meth:`discards` and the hooks below, so a subclass states only where
+    its semantics departs from the paper: :attr:`_hears` (who hears
+    whom), :meth:`_deliver_par` (delivery to a parallel composition,
+    rules (12)/(14) by default), :meth:`_deliver` (delivery to any term)
+    and :attr:`_avoid`.
     """
 
-    def _freshen_avoid(self) -> frozenset[Name]:
-        """Extra names that freshly generated binders must avoid."""
-        return frozenset()
+    #: ``_hears(a, b)``: does a listener on *b* hear a broadcast on *a*?
+    _hears = staticmethod(eq)
+    #: Extra names that freshly generated binders must avoid.
+    _avoid: frozenset[Name] = frozenset()
 
     # ----------------------------------------------------------- steps
     def step_transitions(self, p: Process) -> tuple[Transition, ...]:
@@ -209,86 +207,10 @@ class StructuralBackend(CalculusBackend):
             return memo[p]
         except KeyError:
             pass
-        result = self._compute_steps(p)
+        result = table3_steps(p, self.step_transitions, self.discards,
+                              self.input_continuations, self._avoid)
         memo[p] = result
         return result
-
-    def _compute_steps(self, p: Process) -> tuple[Transition, ...]:
-        if isinstance(p, (Nil, Input)):
-            return ()
-        if isinstance(p, Tau):
-            return ((TAU, p.cont),)  # rule (2)
-        if isinstance(p, Output):
-            return ((OutputAction(p.chan, p.args, ()), p.cont),)  # rule (4)
-        if isinstance(p, Sum):  # rule (8)
-            return self.step_transitions(p.left) + self.step_transitions(p.right)
-        if isinstance(p, Match):  # rules (9), (10)
-            branch = p.then if p.left == p.right else p.orelse
-            return self.step_transitions(branch)
-        if isinstance(p, Rec):  # rule (11)
-            return self.step_transitions(unfold_rec(p))
-        if isinstance(p, Restrict):
-            return tuple(self._restrict_steps(p))
-        if isinstance(p, Par):
-            return tuple(self._par_steps(p))
-        if isinstance(p, Ident):
-            raise ValueError(
-                f"cannot take transitions of open process (free identifier {p.ident!r})")
-        raise TypeError(f"unknown process node {type(p).__name__}")
-
-    def _restrict_steps(self, p: Restrict) -> list[Transition]:
-        x, body = p.name, p.body
-        out: list[Transition] = []
-        for action, target in self.step_transitions(body):
-            if isinstance(action, TauAction):  # rule (7)
-                out.append((TAU, Restrict(x, target)))
-                continue
-            assert isinstance(action, OutputAction)
-            if action.chan == x:
-                # Rule (6): a broadcast on the restricted channel is
-                # internal; the scope of extruded names is re-established.
-                q = target
-                for b in reversed(action.binders):
-                    q = Restrict(b, q)
-                out.append((TAU, Restrict(x, q)))
-                continue
-            if x in action.binders:
-                action, target = freshen_action_binders(
-                    action, target, frozenset((x,)) | self._freshen_avoid())
-            if x in action.objects:
-                # Rule (5): scope extrusion.
-                out.append((OutputAction(action.chan, action.objects,
-                                         action.binders + (x,)), target))
-            else:
-                # Rule (7): x not involved, keep the restriction.
-                out.append((action, Restrict(x, target)))
-        return out
-
-    def _par_steps(self, p: Par) -> list[Transition]:
-        out: list[Transition] = []
-        for active, passive, rebuild in (
-            (p.left, p.right, lambda a, b: Par(a, b)),
-            (p.right, p.left, lambda a, b: Par(b, a)),
-        ):
-            for action, target in self.step_transitions(active):
-                if isinstance(action, TauAction):
-                    out.append((TAU, rebuild(target, passive)))
-                    continue
-                assert isinstance(action, OutputAction)
-                action, target = freshen_action_binders(
-                    action, target,
-                    frozenset(free_names(passive)) | self._freshen_avoid())
-                if self.discards(passive, action.chan):
-                    # Rule (14): the passive side cannot hear; unchanged.
-                    out.append((action, rebuild(target, passive)))
-                else:
-                    # Rule (13), backend delivery: every residual the
-                    # delivery judgement admits (lossy delivery includes
-                    # the "message lost at this listener" residual).
-                    for received in self.input_continuations(
-                            passive, action.chan, action.objects):
-                        out.append((action, rebuild(target, received)))
-        return out
 
     # -------------------------------------------------------- delivery
     def input_continuations(self, p: Process, chan: Name,
@@ -299,14 +221,21 @@ class StructuralBackend(CalculusBackend):
             return memo[key]
         except KeyError:
             pass
-        result = self._compute_inputs(p, chan, values)
+        result = self._deliver(p, chan, values)
         memo[key] = result
         return result
 
-    @abc.abstractmethod
-    def _compute_inputs(self, p: Process, chan: Name,
-                        values: tuple[Name, ...]) -> tuple[Process, ...]:
+    def _deliver(self, p: Process, chan: Name,
+                 values: tuple[Name, ...]) -> tuple[Process, ...]:
         """Uncached delivery judgement; see :meth:`input_continuations`."""
+        return table3_inputs(p, chan, values, self.input_continuations,
+                             self._hears, self._deliver_par, self._avoid)
+
+    def _deliver_par(self, p: Par, chan: Name,
+                     values: tuple[Name, ...]) -> tuple[Process, ...]:
+        """Delivery to ``p.left | p.right``: rules (12) and (14)."""
+        return reliable_par_inputs(p, chan, values, self.discards,
+                                   self.input_continuations)
 
 
 def dichotomy_channels(p: Process,

@@ -14,6 +14,11 @@ the broadcast on ``a`` has four residuals — both receive, only the left,
 only the right, neither.  A top-level input transition likewise includes
 the pure-loss move ``p -a(v)-> p``.
 
+Only the delivery rule for a parallel composition (every subset of the
+listeners, at least one receiving) and the top-level loss move are
+lossy's own; the step rules and the rest of the delivery recursion are
+the paper's, from ``core.semantics``.
+
 The input/discard dichotomy survives: a listener now has *more* input
 transitions (including the loss move), a non-listener still discards.
 
@@ -33,24 +38,10 @@ hierarchy is strict in both directions (checked in the suite):
 from __future__ import annotations
 
 from ..core.discard import discards as _bpi_discards
-from ..core.discard import listening_channels as _bpi_listening
-from ..core.freenames import free_names
-from ..core.names import Name, fresh_name
+from ..core.names import Name
 from ..core.semantics import input_capabilities as _bpi_caps
-from ..core.substitution import apply_subst, unfold_rec
-from ..core.syntax import (
-    Ident,
-    Input,
-    Match,
-    Nil,
-    Output,
-    Par,
-    Process,
-    Rec,
-    Restrict,
-    Sum,
-    Tau,
-)
+from ..core.semantics import table3_inputs
+from ..core.syntax import Par, Process
 from .backend import StructuralBackend
 
 
@@ -66,11 +57,8 @@ class LossyBackend(StructuralBackend):
     def input_capabilities(self, p: Process) -> frozenset[tuple[Name, int]]:
         return _bpi_caps(p)
 
-    def listening_channels(self, p: Process) -> frozenset[Name]:
-        return _bpi_listening(p)
-
-    def _compute_inputs(self, p: Process, chan: Name,
-                        values: tuple[Name, ...]) -> tuple[Process, ...]:
+    def _deliver(self, p: Process, chan: Name,
+                 values: tuple[Name, ...]) -> tuple[Process, ...]:
         if self.discards(p, chan):
             return ()
         # A listener's delivery options: every genuine (at least one
@@ -79,52 +67,26 @@ class LossyBackend(StructuralBackend):
 
     def _genuine(self, p: Process, chan: Name,
                  values: tuple[Name, ...]) -> tuple[Process, ...]:
-        """Residuals where the message reached at least one receiver."""
-        if isinstance(p, (Nil, Tau, Output)):
-            return ()
-        if isinstance(p, Input):
-            if p.chan != chan or len(p.params) != len(values):
-                return ()
-            return (apply_subst(p.cont, dict(zip(p.params, values))),)
-        if isinstance(p, Sum):
-            # A reception inside a branch commits the sum; losing the
-            # message leaves the whole sum intact (handled by the caller's
-            # total-loss residual, not per branch).
-            return (self._genuine(p.left, chan, values)
-                    + self._genuine(p.right, chan, values))
-        if isinstance(p, Match):
-            branch = p.then if p.left == p.right else p.orelse
-            return self._genuine(branch, chan, values)
-        if isinstance(p, Rec):
-            return self._genuine(unfold_rec(p), chan, values)
-        if isinstance(p, Restrict):
-            x, body = p.name, p.body
-            if x == chan:
-                return ()
-            if x in values:
-                nx = fresh_name(
-                    free_names(body) | set(values) | {chan, x}, hint=x)
-                body = apply_subst(body, {x: nx})
-                x = nx
-            return tuple(Restrict(x, q)
-                         for q in self._genuine(body, chan, values))
-        if isinstance(p, Par):
-            # Each side independently receives or loses; at least one
-            # side must genuinely receive for the residual to be genuine.
-            def options(side: Process) -> tuple[tuple[Process, bool], ...]:
-                if self.discards(side, chan):
-                    return ((side, False),)
-                return (tuple((g, True)
-                              for g in self._genuine(side, chan, values))
-                        + ((side, False),))
+        """Residuals where the message reached at least one receiver.
 
-            out: list[Process] = []
-            for lres, lgot in options(p.left):
-                for rres, rgot in options(p.right):
-                    if lgot or rgot:
-                        out.append(Par(lres, rres))
-            return tuple(out)
-        if isinstance(p, Ident):
-            raise ValueError(
-                f"cannot take transitions of open process (free identifier {p.ident!r})")
-        raise TypeError(f"unknown process node {type(p).__name__}")
+        A reception inside a branch of a sum commits the sum; losing the
+        message leaves the whole sum intact, which is the caller's
+        total-loss residual, not a per-branch one.
+        """
+        return table3_inputs(p, chan, values, self._genuine, self._hears,
+                             self._deliver_par)
+
+    def _deliver_par(self, p: Par, chan: Name,
+                     values: tuple[Name, ...]) -> tuple[Process, ...]:
+        # Each side independently receives or loses; at least one side
+        # must genuinely receive for the residual to be genuine.
+        def options(side: Process) -> tuple[tuple[Process, bool], ...]:
+            if self.discards(side, chan):
+                return ((side, False),)
+            return (tuple((g, True) for g in self._genuine(side, chan, values))
+                    + ((side, False),))
+
+        return tuple(Par(lres, rres)
+                     for lres, lgot in options(p.left)
+                     for rres, rgot in options(p.right)
+                     if lgot or rgot)

@@ -12,7 +12,10 @@ between two cells can be modelled by a listener on either.
 Delivery is still atomic *within reach*: every listener that can hear
 must receive (rule (13)); a listener whose cell is not reachable discards
 the broadcast (rule (14)) — that is the wireless discard relation, and
-the input/discard dichotomy holds for it verbatim.
+the input/discard dichotomy holds for it verbatim.  The backend therefore
+states only its reach test (``Topology.hears``), its discard relation and
+capabilities, and the cell names fresh binders avoid; the step rules and
+the delivery recursion are the paper's, from ``core.semantics``.
 
 Topology mutation (handover, node movement) is modelled at the meta
 level: :meth:`Topology.connect` / :meth:`Topology.disconnect` — and the
@@ -33,24 +36,10 @@ import hashlib
 from dataclasses import dataclass
 
 from ..core.discard import listening_channels as _bpi_listening
-from ..core.freenames import free_names
-from ..core.names import Name, fresh_name
+from ..core.names import Name
 from ..core.semantics import check_sorts as _bpi_check_sorts
 from ..core.semantics import input_capabilities as _bpi_caps
-from ..core.substitution import apply_subst, unfold_rec
-from ..core.syntax import (
-    Ident,
-    Input,
-    Match,
-    Nil,
-    Output,
-    Par,
-    Process,
-    Rec,
-    Restrict,
-    Sum,
-    Tau,
-)
+from ..core.syntax import Input, Process, Restrict
 from .backend import StructuralBackend
 
 
@@ -120,6 +109,11 @@ class WirelessBackend(StructuralBackend):
     def __init__(self, topology: Topology | None = None) -> None:
         super().__init__()
         self.topology = topology if topology is not None else Topology(frozenset())
+        # Reach: the delivery rule also renames a restricted name that
+        # would hear the broadcast, keeping it private.  Fresh binders
+        # avoid the global cell names.
+        self._hears = self.topology.hears
+        self._avoid = self.topology.cells
 
     @property
     def spec(self) -> str:
@@ -136,9 +130,6 @@ class WirelessBackend(StructuralBackend):
 
     def disconnect(self, a: Name, b: Name) -> "WirelessBackend":
         return WirelessBackend(self.topology.disconnect(a, b))
-
-    def _freshen_avoid(self) -> frozenset[Name]:
-        return self.topology.cells
 
     # ---------------------------------------------------------- discard
     def discards(self, p: Process, a: Name) -> bool:
@@ -189,52 +180,3 @@ class WirelessBackend(StructuralBackend):
                 walk(c)
 
         walk(p)
-
-    # --------------------------------------------------------- delivery
-    def _compute_inputs(self, p: Process, chan: Name,
-                        values: tuple[Name, ...]) -> tuple[Process, ...]:
-        if isinstance(p, (Nil, Tau, Output)):
-            return ()
-        if isinstance(p, Input):
-            if not self.topology.hears(chan, p.chan) \
-                    or len(p.params) != len(values):
-                return ()
-            return (apply_subst(p.cont, dict(zip(p.params, values))),)
-        if isinstance(p, Sum):
-            return (self.input_continuations(p.left, chan, values)
-                    + self.input_continuations(p.right, chan, values))
-        if isinstance(p, Match):
-            branch = p.then if p.left == p.right else p.orelse
-            return self.input_continuations(branch, chan, values)
-        if isinstance(p, Rec):
-            return self.input_continuations(unfold_rec(p), chan, values)
-        if isinstance(p, Restrict):
-            x, body = p.name, p.body
-            # The bound name is a private channel: it must neither capture
-            # received values nor spuriously hear the outer broadcast via
-            # a topology edge that names its spelling.
-            if x in values or self.topology.hears(chan, x):
-                nx = fresh_name(free_names(body) | set(values)
-                                | self.topology.cells | {chan, x}, hint=x)
-                body = apply_subst(body, {x: nx})
-                x = nx
-            return tuple(Restrict(x, q)
-                         for q in self.input_continuations(body, chan, values))
-        if isinstance(p, Par):
-            left_deaf = self.discards(p.left, chan)
-            right_deaf = self.discards(p.right, chan)
-            if left_deaf and right_deaf:
-                return ()
-            if left_deaf:
-                return tuple(Par(p.left, r) for r in
-                             self.input_continuations(p.right, chan, values))
-            if right_deaf:
-                return tuple(Par(l, p.right) for l in
-                             self.input_continuations(p.left, chan, values))
-            lefts = self.input_continuations(p.left, chan, values)
-            rights = self.input_continuations(p.right, chan, values)
-            return tuple(Par(l, r) for l in lefts for r in rights)
-        if isinstance(p, Ident):
-            raise ValueError(
-                f"cannot take transitions of open process (free identifier {p.ident!r})")
-        raise TypeError(f"unknown process node {type(p).__name__}")

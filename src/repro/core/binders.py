@@ -3,10 +3,11 @@
 The binders of a bound output ``nu y~ a<z~>`` are free in the residual, so
 renaming a binder renames it in the residual too.  Rule (13)'s side
 condition ``y~ /\\ fn(p2) = {}`` and the restriction rules (5)/(7) both
-need this; so does every alternative calculus backend that re-implements
-the parallel rules.  It lives in its own module so layers outside
-``core/`` can import it without reaching into ``core.semantics`` (see
-contract Rule E in ``tools/check_contracts.py``).
+need this, in the one body of the step rules that ``core.semantics``
+runs for every calculus backend.  The equivalence checkers need it too,
+to line up the bound outputs of two processes.  It lives in its own
+module so layers outside ``core/`` can import it without reaching into
+``core.semantics`` (see contract Rule E in ``tools/check_contracts.py``).
 """
 
 from __future__ import annotations

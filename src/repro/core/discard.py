@@ -71,44 +71,62 @@ def discards(p: Process, a: Name) -> bool:
     raise TypeError(f"unknown process node {type(p).__name__}")
 
 
+def input_capabilities(p: Process) -> frozenset[tuple[Name, int]]:
+    """The (channel, arity) pairs at which *p* can currently receive.
+
+    The channels here are exactly ``In(p)`` (when *p* is well-sorted); the
+    arity accompanies them so exploration knows which vectors to offer.
+    """
+    try:
+        return p._caps
+    except AttributeError:
+        pass
+    result = _input_capabilities(p)
+    p._caps = result
+    return result
+
+
+def _input_capabilities(p: Process) -> frozenset[tuple[Name, int]]:
+    if isinstance(p, (Nil, Tau, Output)):
+        return frozenset()
+    if isinstance(p, Input):
+        return frozenset(((p.chan, len(p.params)),))
+    if isinstance(p, (Sum, Par)):
+        return input_capabilities(p.left) | input_capabilities(p.right)
+    if isinstance(p, Match):
+        branch = p.then if p.left == p.right else p.orelse
+        return input_capabilities(branch)
+    if isinstance(p, Rec):
+        from .substitution import unfold_rec
+        return input_capabilities(unfold_rec(p))
+    if isinstance(p, Restrict):
+        return frozenset((c, k) for (c, k) in input_capabilities(p.body)
+                         if c != p.name)
+    if isinstance(p, Ident):
+        raise ValueError(
+            f"cannot inspect open process (free identifier {p.ident!r})")
+    raise TypeError(f"unknown process node {type(p).__name__}")
+
+
 def listening_channels(p: Process) -> frozenset[Name]:
     """The set ``In(p)`` of channels *p* is currently listening on.
 
     ``a in listening_channels(p)`` iff *p* does **not** discard *a*; by the
     dichotomy this is exactly the set of subjects of the input transitions
     available to *p*.  Only free names can be listened on from outside, so
-    the result is a subset of ``fn(p)``.
+    the result is a subset of ``fn(p)``.  It is the channel projection of
+    :func:`input_capabilities`, memoized on the node.
     """
     try:
         return p._listen
     except AttributeError:
         pass
-    result = _listening_channels(p)
+    result = frozenset(c for c, _k in input_capabilities(p))
     p._listen = result
     return result
 
 
-def _listening_channels(p: Process) -> frozenset[Name]:
-    if isinstance(p, (Nil, Tau, Output)):
-        return frozenset()
-    if isinstance(p, Input):
-        return frozenset((p.chan,))
-    if isinstance(p, Restrict):
-        return listening_channels(p.body) - {p.name}
-    if isinstance(p, (Sum, Par)):
-        return listening_channels(p.left) | listening_channels(p.right)
-    if isinstance(p, Match):
-        if p.left == p.right:
-            return listening_channels(p.then)
-        return listening_channels(p.orelse)
-    if isinstance(p, Rec):
-        from .substitution import unfold_rec
-        return listening_channels(unfold_rec(p))
-    if isinstance(p, Ident):
-        raise ValueError(
-            f"In(p) undefined on open process (free identifier {p.ident!r})")
-    raise TypeError(f"unknown process node {type(p).__name__}")
-
-
+input_capabilities.cache_clear = (  # type: ignore[attr-defined]
+    lambda: purge_node_caches(("_caps",)))
 listening_channels.cache_clear = (  # type: ignore[attr-defined]
     lambda: purge_node_caches(("_listen",)))

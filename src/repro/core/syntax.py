@@ -44,7 +44,7 @@ _NODE_CACHE_SLOTS = (
     "_canon2",   # canonical.canonical_state_collapsed
     "_alpha",    # substitution.canonical_alpha
     "_steps",    # semantics.step_transitions
-    "_caps",     # semantics.input_capabilities
+    "_caps",     # discard.input_capabilities
     "_barbs",    # reduction.barbs
     "_listen",   # discard.listening_channels
     "_nf",       # canonical._normalize(p, collapse=False)

@@ -40,8 +40,9 @@ sets exactly as the backend's ``input_capabilities`` does.
 Results are memoized per interned root term and backend key (module
 table, cleared by :func:`repro.core.cache.clear_caches`); the public
 :meth:`FlowAnalysis.capability_sets` projection is keyed by free names
-only and is therefore stable under ``canonical_state`` (bound-name
-spellings are not, see ``repro.core.canonical``).
+only and is therefore stable under ``canonical_state`` on the names the
+canonical form keeps (bound-name spellings are not, see
+``repro.core.canonical``).
 """
 
 from __future__ import annotations
@@ -271,9 +272,12 @@ class FlowAnalysis:
     def capability_sets(self) -> dict[str, dict[str, Any]]:
         """Per free channel: the four capability sets, JSON-shaped.
 
-        Keyed by free names only — ``canonical_state`` preserves those —
-        with restriction tokens rendered anonymously, so a term and its
-        canonical form produce identical mappings (property-tested)."""
+        Keyed by free names, with restriction tokens rendered
+        anonymously, so a term and its canonical form produce identical
+        rows for every name the canonical form keeps (property-tested).
+        ``canonical_state`` may erase a free name that occurs only in
+        inert structure (``[a=a]{0}{0} + p`` becomes ``p``); such a
+        name's row holds only the environment's blanket capabilities."""
         return {name: caps.to_json()
                 for name, caps in self.channels().items()}
 

@@ -11,11 +11,13 @@ calculus backends.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro.core.canonical import canonical_state
+from repro.core.freenames import free_names
+from repro.core.parser import parse
 from repro.core.reduction import can_reach_barb
 from repro.engine import Budget
 from repro.flow import (
@@ -261,21 +263,26 @@ def test_presolved_reach_agrees_with_exploration(p, chan):
         assert not slow.is_true
 
 
-def _live_rows(sets: dict) -> dict:
-    """Rows with at least one capability.  ``canonical_state`` may erase
-    inert vocabulary entirely (``[a=a]{0}{0}`` becomes ``0``), and an
-    absent row means exactly "no capabilities" — so all-false rows and
-    missing rows are the same statement."""
-    return {name: row for name, row in sets.items()
-            if row["may_broadcast"] or row["may_listen"]
-            or row["may_extrude"] or row["may_carry"]}
-
-
 @pytest.mark.parametrize("mode", ("open", "closed"))
 @settings(max_examples=60, deadline=None)
 @given(p=processes1)
+@example(p=parse("[a=a]{0}{0} + b(x).x(x)"))
 def test_capability_sets_stable_under_canonicalisation(mode, p):
-    """canonical_state only reshuffles structure the abstraction ignores."""
+    """canonical_state only reshuffles structure the abstraction ignores.
+
+    It may erase a free name that occurs only in inert structure
+    (``[a=a]{0}{0}`` becomes ``0``), so the two terms are compared on
+    the names the canonical form keeps; an erased name's row holds only
+    what the environment grants every name (in open mode, a blanket
+    ``may_listen``/``may_broadcast``)."""
     q = canonical_state(p)
-    assert (_live_rows(flow_analysis(p, mode=mode).capability_sets())
-            == _live_rows(flow_analysis(q, mode=mode).capability_sets()))
+    flow_p, flow_q = flow_analysis(p, mode=mode), flow_analysis(q, mode=mode)
+    rows_p, rows_q = flow_p.capability_sets(), flow_q.capability_sets()
+    kept = free_names(q)
+    assert {name: rows_p[name] for name in kept} == rows_q
+    env_only = {"may_broadcast": flow_p.env_may_broadcast,
+                "may_listen": flow_p.env_may_listen,
+                "may_extrude": False,
+                "may_carry": ["#env"] if flow_p.env_may_broadcast else []}
+    for name in free_names(p) - kept:
+        assert rows_p[name] == env_only
