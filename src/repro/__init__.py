@@ -64,7 +64,7 @@ from .engine import (
     govern,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # subpackages

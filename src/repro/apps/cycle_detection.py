@@ -109,7 +109,6 @@ def prefed_system(edges: Sequence[Edge], o: Name = SIGNAL_CHANNEL) -> Process:
 
 
 def detects_cycle(edges: Sequence[Edge], *, budget=None,
-                  max_states: int | None = None,
                   prefed: bool = True) -> bool:
     """Can the detector system reach a cycle signal?  (Bounded search.)
 
@@ -123,8 +122,7 @@ def detects_cycle(edges: Sequence[Edge], *, budget=None,
     practice — the tests cross-check against the graph-theoretic
     reference on every digraph up to isomorphism-covering families.
     """
-    from ..engine.budget import Budget, legacy_cap
-    budget = legacy_cap("detects_cycle", budget, max_states=max_states)
+    from ..engine.budget import Budget
     if budget is None:
         budget = Budget(max_states=30_000)
     system = prefed_system(edges) if prefed else build_system(edges)

@@ -85,14 +85,13 @@ def network(payloads: Sequence[Name], subscribers: Sequence[Name],
 
 
 def delivered(system: Process, deliver: Name, payload: Name, *,
-              budget=None, max_states: int | None = None):
+              budget=None):
     """Can *payload* be delivered on *deliver*?  (Bounded search.)
 
     Returns the three-valued :class:`~repro.engine.Verdict` of the
     underlying reachability query.
     """
-    from ..engine.budget import Budget, legacy_cap
-    budget = legacy_cap("delivered", budget, max_states=max_states)
+    from ..engine.budget import Budget
     if budget is None:
         budget = Budget(max_states=60_000)
     signal = f"{deliver}_got_{payload}"

@@ -131,14 +131,13 @@ def _delivery_probe(deliver: Name, payload: Name, signal: Name) -> Process:
 
 
 def can_deliver(system: Process, deliver: Name, payload: Name, *,
-                budget=None, max_states: int | None = None):
+                budget=None):
     """May the payload ever be delivered on *deliver*?
 
     Returns the three-valued :class:`~repro.engine.Verdict` of the
     underlying reachability query.
     """
-    from ..engine.budget import Budget, legacy_cap
-    budget = legacy_cap("can_deliver", budget, max_states=max_states)
+    from ..engine.budget import Budget
     if budget is None:
         budget = Budget(max_states=60_000)
     signal = f"{deliver}_rx"
@@ -181,15 +180,14 @@ def handover(backend, radio: Name, old_cell: Name, new_cell: Name):
 
 
 def can_hear(system: Process, deliver: Name, *, calculus,
-             budget=None, max_states: int | None = None):
+             budget=None):
     """May the mobile delivering on *deliver* ever receive a frame?
 
     *calculus* is the wireless backend (or registry spec) describing the
     current radio ranges; with no relevant edge the broadcast never
     reaches the mobile's cell and the verdict is definitely false.
     """
-    from ..engine.budget import Budget, legacy_cap
-    budget = legacy_cap("can_hear", budget, max_states=max_states)
+    from ..engine.budget import Budget
     if budget is None:
         budget = Budget(max_states=10_000)
     return can_reach_barb(system, deliver, budget=budget,

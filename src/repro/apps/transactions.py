@@ -276,16 +276,13 @@ def build_system(log: Sequence[Transaction]) -> Process:
     return par(build_database(items, partitions), transaction_feeder(log))
 
 
-def detects_inconsistency(log: Sequence[Transaction], *, budget=None,
-                          max_states: int | None = None):
+def detects_inconsistency(log: Sequence[Transaction], *, budget=None):
     """Can the process system reach an ``error`` broadcast?
 
     Returns the three-valued :class:`~repro.engine.Verdict` of the
     underlying reachability query.
     """
-    from ..engine.budget import Budget, legacy_cap
-    budget = legacy_cap("detects_inconsistency", budget,
-                        max_states=max_states)
+    from ..engine.budget import Budget
     if budget is None:
         budget = Budget(max_states=120_000)
     return can_reach_barb(build_system(log), ERROR_CHANNEL,

@@ -171,7 +171,7 @@ def pi_tau_successors(p: Process) -> tuple[Process, ...]:
 
 
 def pi_barbed_bisimilar(p: Process, q: Process, *, weak: bool = False,
-                        budget=None, max_states: int | None = None):
+                        budget=None):
     """Barbed bisimilarity under pi semantics (for the comparative tests).
 
     Returns a three-valued :class:`~repro.engine.Verdict`.
@@ -180,13 +180,12 @@ def pi_barbed_bisimilar(p: Process, q: Process, *, weak: bool = False,
 
     from ..core.canonical import canonical_alpha
     from ..engine.budget import (
-        Budget, BudgetExceeded, legacy_cap, resolve_meter,
+        Budget, BudgetExceeded, resolve_meter,
     )
     from ..engine.verdict import Verdict
     from ..lts.partition import coarsest_partition
     from ..lts.weak import reachability_closure, weak_keys
 
-    budget = legacy_cap("pi_barbed_bisimilar", budget, max_states=max_states)
     meter = resolve_meter(budget, Budget(max_states=20_000))
 
     states: list[Process] = []

@@ -140,7 +140,10 @@ class Process(metaclass=_InternMeta):
         return (self.__class__,) + tuple(getattr(self, f) for f in self._fields)
 
     def _init_hash(self) -> None:
-        self._hash = hash(self._key())
+        # The class enters the hash by name: a class object hashes by its
+        # address, which would make hashes differ between interpreters.
+        self._hash = hash((self.__class__.__name__,)
+                          + tuple(getattr(self, f) for f in self._fields))
 
     def __hash__(self) -> int:
         return self._hash
@@ -226,7 +229,7 @@ class Nil(Process):
         # nil is interned: there is a single Nil object.
         if cls._instance is None:
             obj = super().__new__(cls)
-            obj._hash = hash((cls,))
+            obj._hash = hash((cls.__name__,))
             cls._instance = obj
         return cls._instance
 

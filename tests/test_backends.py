@@ -26,7 +26,7 @@ from repro.core.parser import parse
 from repro.core.semantics import step_transitions as bpi_step_transitions
 from repro.core.syntax import Restrict
 from repro.engine.budget import Budget, BudgetExceeded
-from repro.equiv.noisy import noisy_similar, strict_bisimilar
+from repro.equiv.noisy import strict_bisimilar
 from repro.lts.graph import build_step_lts
 
 
@@ -292,17 +292,6 @@ class TestBudgetContract:
         assert not ex.complete
         assert ex.reason == "max-states"
         assert 0 < ex.n_states <= 3
-
-
-# -- deprecation shim -------------------------------------------------------
-
-class TestNoisySimilarShim:
-    def test_warns_and_delegates(self):
-        p, q = parse("a!"), parse("a!")
-        with pytest.warns(DeprecationWarning, match="strict_bisimilar"):
-            v = noisy_similar(p, q)
-        assert v.is_true
-        assert v == strict_bisimilar(p, q)
 
 
 # -- store keying: verdicts never cross calculi -----------------------------

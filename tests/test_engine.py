@@ -1,6 +1,4 @@
-"""Unit tests for ``repro.engine``: budgets, meters, verdicts, shims."""
-
-import warnings
+"""Unit tests for ``repro.engine``: budgets, meters, verdicts."""
 
 import pytest
 
@@ -15,7 +13,6 @@ from repro.engine import (
     Verdict,
     active_meter,
     govern,
-    legacy_cap,
     resolve_meter,
 )
 from repro.engine.budget import POLL_INTERVAL
@@ -152,33 +149,6 @@ class TestGovern:
             v = labelled_bisimilar(parse("a!.b!.c!.d!"),
                                    parse("a!.b!.c!.e!"))
         assert v.is_unknown and m.tripped == "max-states"
-
-
-class TestLegacyCap:
-    def test_no_legacy_passthrough(self):
-        b = Budget(max_states=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert legacy_cap("f", b) is b
-            assert legacy_cap("f", None) is None
-
-    def test_legacy_warns_and_converts(self):
-        with pytest.warns(DeprecationWarning, match="f\\(max_states=9\\)"):
-            b = legacy_cap("f", None, max_states=9)
-        assert b == Budget(max_states=9)
-
-    def test_legacy_takes_loosest_and_says_so(self):
-        # The warning must flag the semantics change: caps that bounded
-        # separate sub-searches are unified into one shared pool.
-        with pytest.warns(DeprecationWarning,
-                          match="unified into one shared pool of "
-                                "max_states=11"):
-            b = legacy_cap("f", None, max_states=5, max_pairs=11)
-        assert b.max_states == 11
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(TypeError):
-            legacy_cap("f", Budget(max_states=1), max_states=2)
 
 
 class TestVerdict:

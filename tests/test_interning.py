@@ -7,13 +7,18 @@ can never identify terms the semantics distinguishes; the node-level caches
 hold pure functions of structure, so sharing them is equally harmless.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.strategies import processes0, processes1
 
+import repro
 from repro.core.cache import cache_stats, clear_caches
 from repro.core.canonical import canonical_state
 from repro.core.freenames import free_names
@@ -61,6 +66,26 @@ class TestHashConsing:
         before = intern_stats()["hits"]
         Tau(NIL)
         assert intern_stats()["hits"] > before
+
+
+    def test_hash_stable_across_interpreters(self):
+        """Term and action hashes depend on structure only, not on where
+        the interpreter happened to place the node classes in memory."""
+        script = (
+            "from repro.core.parser import parse\n"
+            "from repro.core.semantics import step_transitions\n"
+            "for src in ('0', 'a! | b(x).x!', 'nu c (c<x> | c(y).y!)',\n"
+            "            'rec X(). tau.(a! | X)'):\n"
+            "    p = parse(src)\n"
+            "    print(hash(p), sorted(hash(a) for a, _ in"
+            " step_transitions(p)))\n")
+        env = dict(os.environ, PYTHONHASHSEED="0",
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        outputs = [subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout
+                   for _ in range(2)]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestClearCaches:
