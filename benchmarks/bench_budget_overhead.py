@@ -13,11 +13,14 @@ the real state count, and compares against the same exploration driven
 through a loop with a hand-inlined integer cap — the pre-engine baseline
 shape.  Best-of-N keeps scheduler noise out; the ratio must stay under
 1.02 (+2%), with a small absolute floor so micro-runs in noisy CI boxes
-don't flake the gate on sub-millisecond jitter.
+don't flake the gate on sub-millisecond jitter.  The two arms of each A/B
+run interleaved, alternating which goes first, each from a cold kernel
+and a collected heap, so neither arm runs systematically warmer or later.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 from benchmarks.helpers import broadcast_star
@@ -57,14 +60,17 @@ def _baseline_explore(p) -> int:
     return len(seen)
 
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        clear_caches()
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _best_of_interleaved(a, b, repeats: int = REPEATS) -> tuple[float, float]:
+    """Best-of-*repeats* wall-clock of *a* and *b*, run alternately."""
+    best = {a: float("inf"), b: float("inf")}
+    for i in range(repeats):
+        for fn in ((a, b) if i % 2 == 0 else (b, a)):
+            clear_caches()
+            gc.collect()
+            t0 = time.perf_counter()
+            fn()
+            best[fn] = min(best[fn], time.perf_counter() - t0)
+    return best[a], best[b]
 
 
 def test_budget_overhead_under_two_percent():
@@ -88,8 +94,8 @@ def test_budget_overhead_under_two_percent():
     # Warm-up pass so import/intern costs don't land on either side.
     governed(), baseline()
 
-    t_governed = _best_of(governed)
-    t_plain = _best_of(lambda: build_step_lts(p))
+    t_governed, t_plain = _best_of_interleaved(
+        governed, lambda: build_step_lts(p))
 
     # The real gate: metered-with-cap vs the library's own default path
     # (identical code, default budget) — the plumbing must be invisible.
@@ -110,8 +116,8 @@ def test_watched_budget_overhead_is_bounded():
             p, budget=Budget(max_states=1_000_000, deadline=3600.0))
         return lts.n_states
 
-    t_plain = _best_of(lambda: build_step_lts(p))
-    t_watched = _best_of(governed_watched)
+    t_watched, t_plain = _best_of_interleaved(
+        governed_watched, lambda: build_step_lts(p))
     overhead = t_watched - t_plain
     # A clock read every 64 states: allow 10% or the jitter floor.
     assert (t_watched <= t_plain * 1.10

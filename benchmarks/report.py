@@ -42,13 +42,6 @@ pair corpus run cold then warm against a temporary
 counts, the wall-clock saved by the warm run, and whether the warm
 verdicts are byte-identical to the cold ones (they must be).
 
-Schema 7 adds a ``"parallel"`` block (see ``bench_parallel.py``): the
-1-vs-N-worker wall-clock A/B of the sharded frontier engine on
-``broadcast_star(12)`` (``broadcast_star(10)`` under ``--quick``), the
-``cpus`` of the measurement host, and whether the sharded graph is
-bit-identical to the serial one (it must be).  ``--workers N`` picks
-the sharded side's pool size.
-
 Schema 8 adds the calculus-backend rows: ``LOSSY1`` / ``WIFI1`` pin the
 non-default semantics (noisy-channel hierarchy, topology-bounded
 broadcast), and the backend-generic rows ``B1`` / ``B2`` (dichotomy,
@@ -62,6 +55,12 @@ queries answered with zero states explored), and the A/B row comparing
 ``reach`` with and without the pre-solver on a flow-refutable
 ``broadcast_star`` variant — the abstraction answers in O(term) what
 exhaustive search pays 2^n states for.
+
+Schema 10 drops schema 7's ``"parallel"`` block, whose sharded frontier
+engine was slower than the serial explorer and has been deleted, and
+takes the ``"cache"`` block right after the claim rows: the sub-blocks
+clear the kernel caches, so a snapshot taken after them read 0 in every
+``lru.*`` entry.
 """
 
 from __future__ import annotations
@@ -338,9 +337,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="comma-separated experiment names to run")
     ap.add_argument("--quick", action="store_true",
                     help=f"run only the smoke subset {','.join(QUICK_ROWS)}")
-    ap.add_argument("--workers", type=int, default=None, metavar="N",
-                    help="worker-pool size for the parallel A/B block "
-                         "(default: min(4, cpus), at least 2)")
     ap.add_argument("--calculus", default="bpi", metavar="SPEC",
                     help="backend the backend-generic rows (B1, B2) and "
                          "the lint block run under: 'bpi' (default), "
@@ -400,20 +396,18 @@ def main(argv: list[str] | None = None) -> int:
 
         from benchmarks.bench_flow import flow_block
         from benchmarks.bench_onthefly import ab_block
-        from benchmarks.bench_parallel import parallel_block
         from benchmarks.bench_store import store_block
         payload = {
-            "schema": 9,
+            "schema": 10,
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "total_seconds": time.time() - wall0,
             "rows": rows,
+            # before the sub-blocks, which clear the caches it reports
+            "cache": cache_stats(),
             "lint": lint_block(calculus=args.calculus),
             "flow": flow_block(quick=args.quick),
             "onthefly": ab_block(quick=args.quick),
             "store": store_block(quick=args.quick),
-            "parallel": parallel_block(quick=args.quick,
-                                       workers=args.workers),
-            "cache": cache_stats(),
             "obs": obs.snapshot(),
         }
         with open(args.json, "w") as fh:

@@ -8,14 +8,17 @@ v~)``) still live in ``functools.lru_cache``s.  This module gives tests and
 benchmarks one switch for all of it:
 
 * :func:`clear_caches` — forget every memoized result and empty the intern
-  table, returning the kernel to a cold state (live terms held by callers
-  stay usable; they simply re-intern/recompute on next use).
+  table, returning the kernel to a cold state (terms held by callers stay
+  usable and recompute on next use; an equal term built afterwards is a
+  new node).
 * :func:`cache_stats` — intern-table hit/miss counters and sizes of the
   remaining ``lru_cache``s, for benchmark reporting.
 
 Clearing is also the memory-reclamation hook: the intern table holds strong
 references, so a long-running service embedding the library should call
-:func:`clear_caches` between unrelated workloads.
+:func:`clear_caches` between unrelated workloads.  Every clear also purges
+the memos on terms a caller held across an earlier clear, so holding a term
+keeps only the term alive, never what was computed from it.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ module-level ``lru_cache``s).  :mod:`repro.core.cache` exposes
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Iterator
 
 from .names import Name
@@ -56,6 +57,12 @@ _NODE_CACHE_SLOTS = (
 
 #: The global intern table: structural key -> the unique node.
 _INTERN: dict[tuple, "Process"] = {}
+
+#: Nodes of earlier, cleared intern tables that are still alive because a
+#: caller holds them.  Memos written on them after the clear must be purged
+#: with the rest, so every live node is in ``_INTERN`` or here; the set is
+#: weak, so a node leaves it when it is freed.
+_SURVIVORS: "weakref.WeakSet[Process]" = weakref.WeakSet()
 
 #: Intern-table hit/miss counters (reset by clear_intern_table).
 _INTERN_STATS = {"hits": 0, "misses": 0}
@@ -95,22 +102,26 @@ class _InternMeta(type):
 
 
 def purge_node_caches(slots: tuple[str, ...] = _NODE_CACHE_SLOTS) -> None:
-    """Drop the given memoized results from every interned node."""
-    for node in _INTERN.values():
-        for slot in slots:
-            try:
-                delattr(node, slot)
-            except AttributeError:
-                pass
+    """Drop the given memoized results from every live node."""
+    for nodes in (_INTERN.values(), _SURVIVORS):
+        for node in nodes:
+            for slot in slots:
+                try:
+                    delattr(node, slot)
+                except AttributeError:
+                    pass
 
 
 def clear_intern_table() -> None:
     """Purge node caches, empty the intern table and reset its stats.
 
-    Live terms held by callers stay valid (equality falls back to the
-    structural comparison), but new terms re-intern from scratch.
+    Terms held by callers stay valid (equality falls back to the
+    structural comparison) and keep no memoized result; a structurally
+    equal term built afterwards is a new node.  Held terms are tracked
+    weakly, so later clears purge the memos written on them too.
     """
     purge_node_caches()
+    _SURVIVORS.update(_INTERN.values())
     _INTERN.clear()
     _INTERN_STATS["hits"] = 0
     _INTERN_STATS["misses"] = 0
@@ -133,7 +144,7 @@ class Process(metaclass=_InternMeta):
     identity fast path of ``__eq__`` is the common case.
     """
 
-    __slots__ = ("_hash",) + _NODE_CACHE_SLOTS
+    __slots__ = ("_hash", "__weakref__") + _NODE_CACHE_SLOTS
     _fields: tuple[str, ...] = ()
 
     def _key(self) -> tuple[Any, ...]:

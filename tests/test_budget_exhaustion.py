@@ -114,6 +114,17 @@ class TestGracefulDegradation:
         assert 1 <= ex.n_states <= 11
         assert ex.stats["tripped"] == "max-states"
 
+    def test_cancelled_explore_keeps_partial_prefix(self):
+        import repro
+        token = CancelToken()
+        token.cancel()
+        p = parse(" | ".join(f"a{i}!" for i in range(7)))  # 128 states
+        ex = repro.explore(p, budget=Budget(cancel=token))
+        assert not ex.complete and ex.reason == "cancelled"
+        assert ex.root == 0 and ex.n_states >= 1
+        full = repro.explore(p)
+        assert full.states[:ex.n_states] == ex.states
+
     def test_invariant_refutation_survives_trip(self):
         # the violating state is inside the truncated prefix: FALSE, not
         # UNKNOWN, even though the budget tripped
@@ -225,6 +236,23 @@ def test_budget_monotonicity_reachability(p, cap):
     small = Budget(max_states=cap)
     v_small = can_reach_barb(p, "a", budget=small)
     v_big = can_reach_barb(p, "a", budget=small.scaled(10))
+    if v_small.is_definite:
+        assert v_big.truth == v_small.truth
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(p=processes1, cap=st.integers(2, 40))
+def test_budget_monotonicity_invariant(p, cap):
+    from repro.core.reduction import barbs
+    from repro.runtime.analysis import invariant_holds
+
+    def no_a(s):
+        return "a" not in barbs(s)
+
+    small = Budget(max_states=cap)
+    v_small = invariant_holds(p, no_a, budget=small)
+    v_big = invariant_holds(p, no_a, budget=small.scaled(10))
     if v_small.is_definite:
         assert v_big.truth == v_small.truth
 

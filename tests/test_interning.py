@@ -116,6 +116,16 @@ class TestClearCaches:
         assert p == q  # equality survives re-interning
         assert step_transitions(p) == step_transitions(q)
 
+    def test_clear_purges_memos_on_held_nodes(self):
+        # p leaves the intern table at the first clear; the memo written
+        # on it afterwards must still go at the next one
+        p = parse("b! | a! | a?.c!")
+        canonical_state(p)
+        clear_caches()
+        canonical_state(p)
+        clear_caches()
+        assert not hasattr(p, "_canon")
+
 
 def _reference_coarsest_partition(successors, initial_keys):
     """The seed's naive global-fixpoint refinement, kept as the oracle."""
